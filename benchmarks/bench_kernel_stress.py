@@ -20,6 +20,8 @@ perf trajectory of the kernel across sessions.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -102,7 +104,9 @@ def test_kernel_stress_event_storm(benchmark, results_dir):
 
     entry = {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "kernel": "virtual-work-time",
+        "kernel": "virtual-work-time, (time, seq, event) heap + ready lane",
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                 "platform": platform.platform()},
         "scenario": {
             "workload": "leftmove",
             "dispatcher": "lm",

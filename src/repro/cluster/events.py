@@ -3,6 +3,8 @@
 Events are ordered by simulated time with a monotonically increasing sequence
 number as a tie-breaker, which makes the simulation fully deterministic: two
 events scheduled for the same instant fire in the order they were scheduled.
+Heap entries are ``(time, seq, event)`` tuples: ``seq`` is unique, so the C
+tuple comparison orders them and never reaches the :class:`Event`.
 
 Cancelled events are *garbage*: they stay in the heap until popped, but the
 queue tracks how many there are so that ``len(queue)`` / ``bool(queue)``
@@ -11,14 +13,17 @@ sees phantom work), and the heap is compacted in place whenever garbage
 outnumbers the live entries.  The queue also keeps lifetime counters (pushes,
 cancellations, compactions, peak size) that feed the kernel's
 :class:`~repro.cluster.simulator.KernelStats` diagnostics.
+
+``pushed`` doubles as the source of sequence numbers: the kernel's zero-delay
+ready lane (see :mod:`repro.cluster.simulator`) draws its entries' numbers
+from it too, so heap and ready entries share one scheduling order.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "EventQueue"]
 
@@ -27,22 +32,18 @@ __all__ = ["Event", "EventQueue"]
 _COMPACT_MIN_GARBAGE = 64
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
-    """A scheduled callback.
-
-    The dataclass ordering uses ``(time, seq)`` only; the callback and its
-    arguments are excluded from comparisons.
-    """
+    """A scheduled callback ``callback(*args)`` at simulated ``time``."""
 
     time: float
     seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: Tuple[Any, ...] = ()
+    cancelled: bool = False
     #: The queue currently holding this event (None once popped or when the
     #: event was built outside a queue); lets cancel() report its garbage.
-    queue: Optional["EventQueue"] = field(compare=False, default=None, repr=False)
+    queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when popped."""
@@ -59,13 +60,14 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects."""
+    """A deterministic min-heap of ``(time, seq, event)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._heap: List[Tuple[float, int, Event]] = []
         self._garbage = 0  # cancelled events still sitting in the heap
-        # Lifetime diagnostics (never reset; see KernelStats).
+        # Lifetime diagnostics (never reset; see KernelStats).  ``pushed`` is
+        # also the next sequence number to hand out.  ``peak_size`` sees only
+        # pushes made through push(); the kernel samples its own peak.
         self.pushed = 0
         self.cancelled_total = 0
         self.compactions = 0
@@ -82,18 +84,20 @@ class EventQueue:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < 0:
             raise ValueError("cannot schedule an event at a negative time")
-        event = Event(time=float(time), seq=next(self._counter), callback=callback, args=args)
-        event.queue = self
-        heapq.heappush(self._heap, event)
-        self.pushed += 1
-        if len(self._heap) > self.peak_size:
-            self.peak_size = len(self._heap)
+        seq = self.pushed
+        self.pushed = seq + 1
+        event = Event(time, seq, callback, args, False, self)
+        heap = self._heap
+        heapq.heappush(heap, (time, seq, event))
+        if len(heap) > self.peak_size:
+            self.peak_size = len(heap)
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event (or ``None``)."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             event.queue = None
             if event.cancelled:
                 self._garbage -= 1
@@ -103,10 +107,11 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2].queue = None
             self._garbage -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------ #
     # Garbage accounting
@@ -119,13 +124,15 @@ class EventQueue:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (ordering is a total order
+        """Drop cancelled entries and re-heapify, in place (the kernel's run
+        loop holds a reference to the heap list).  Ordering is a total order
         on unique ``(time, seq)`` pairs, so compaction cannot perturb event
-        order — determinism survives)."""
-        for event in self._heap:
-            if event.cancelled:
-                event.queue = None
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
+        order — determinism survives."""
+        heap = self._heap
+        for entry in heap:
+            if entry[2].cancelled:
+                entry[2].queue = None
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._garbage = 0
         self.compactions += 1

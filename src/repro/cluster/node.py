@@ -146,7 +146,7 @@ class Node:
         target = self._completions[0][0]
         remaining = max(0.0, target - self._work)
         finish = self.kernel.now + remaining / speed
-        self._next_event = self.kernel.schedule_at(finish, self._on_completion, self._next_version)
+        self._next_event = self.kernel.queue.push(finish, self._on_completion, self._next_version)
 
     # ------------------------------------------------------------------ #
     # Public interface used by the kernel
@@ -191,11 +191,7 @@ class Node:
         if self._work < target:
             self._work = target
         self.kernel.trace.record_compute(
-            pid=pid,
-            node=self.spec.name,
-            start=comp.started_at,
-            end=self.kernel.now,
-            work=comp.total_work,
+            pid, self.spec.name, comp.started_at, self.kernel.now, comp.total_work
         )
         # Remaining computations speed up now that a slot freed: re-aim the
         # (single) completion event before resuming the finished process, so

@@ -139,11 +139,21 @@ class Mailbox:
 
     def pop_match(self, recv: "Recv") -> Optional["Message"]:
         """Remove and return the earliest message matching ``recv`` (or None)."""
+        if not self._size:
+            return None
         if recv.tag is ANY_TAG:
             buckets = self._by_tag.values()
         else:
             bucket = self._by_tag.get(recv.tag)
-            buckets = (bucket,) if bucket is not None else ()
+            if not bucket:
+                return None
+            # One bucket: its head is the earliest candidate, and usually matches.
+            head = bucket[0][1]
+            if recv.source is ANY_SOURCE or head.source == recv.source:
+                bucket.popleft()
+                self._size -= 1
+                return head
+            buckets = (bucket,)
         best_bucket: Optional[Deque[Tuple[int, Message]]] = None
         best_index = 0
         best_seq = -1
@@ -215,23 +225,28 @@ class ProcessContext:
         self._kernel = kernel
         self.name = name
         self.node_name = node_name
+        #: Recv syscalls are immutable, so one per (source, tag) serves every call.
+        self._recvs: Dict[Tuple[Any, Any], Recv] = {}
 
     # -- syscall constructors ------------------------------------------- #
     def send(self, dest: str, payload: Any, tag: int = 0, size_bytes: float = 256.0) -> Send:
         """Send ``payload`` to ``dest``; yield the returned object."""
-        return Send(dest=dest, payload=payload, tag=tag, size_bytes=size_bytes)
+        return Send(dest, payload, tag, size_bytes)
 
     def recv(self, source: Any = ANY_SOURCE, tag: Any = ANY_TAG) -> Recv:
         """Receive a matching message; yield the returned object."""
-        return Recv(source=source, tag=tag)
+        recv = self._recvs.get((source, tag))
+        if recv is None:
+            recv = self._recvs[source, tag] = Recv(source=source, tag=tag)
+        return recv
 
     def compute(self, work_units: float) -> Compute:
         """Perform ``work_units`` of computation; yield the returned object."""
-        return Compute(work_units=float(work_units))
+        return Compute(float(work_units))
 
     def sleep(self, seconds: float) -> Sleep:
         """Idle for ``seconds`` of simulated time; yield the returned object."""
-        return Sleep(seconds=float(seconds))
+        return Sleep(float(seconds))
 
     # -- introspection --------------------------------------------------- #
     @property

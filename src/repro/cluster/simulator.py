@@ -6,17 +6,32 @@ trace.  Simulated processes are generators yielding syscalls (see
 :mod:`repro.cluster.process`); the kernel interprets each syscall, schedules
 the corresponding events and resumes the process with the syscall's result.
 
-Determinism: all ties are broken by scheduling order (see
-:mod:`repro.cluster.events`), there is no randomness anywhere in the kernel,
-and message delivery preserves per-(sender, receiver) ordering.  Two runs of
-the same workload on the same topology produce bit-identical traces.
+Pending work sits in two lanes.  Timed events live in the
+:class:`~repro.cluster.events.EventQueue` heap as ``(time, seq, event)``
+entries.  Zero-delay resumptions — a spawn, a message delivered to a blocked
+receiver, a receive served from the mailbox, a zero-work computation, a
+finished computation — go to the *ready lane*, a FIFO of ``(seq, process,
+value)`` entries with no :class:`~repro.cluster.events.Event` object.  Both
+lanes draw ``seq`` from one counter.  Every ready entry is due at the
+current time, and ``now`` cannot advance while the lane is non-empty, so the
+loop fires the heap top first exactly when its ``(time, seq)`` precedes the
+ready head's ``(now, seq)``: the merged order is the ``(time, seq)`` order a
+single heap would give.
+
+Determinism: all ties are broken by scheduling order, there is no randomness
+anywhere in the kernel, and message delivery preserves per-(sender,
+receiver) ordering.  Two runs of the same workload on the same topology
+produce bit-identical traces.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import time as _time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.network import NetworkModel
@@ -66,12 +81,14 @@ class SimulationError(RuntimeError):
 class KernelStats:
     """Diagnostics of one kernel's event loop (cumulative across ``run`` calls).
 
+    ``events_scheduled`` counts heap pushes and ready-lane entries alike;
     ``events_cancelled`` counts events that were cancelled before firing
     (completion re-aims on node load changes, mostly); ``peak_queue_size``
-    is the largest the event heap ever grew (cancelled entries included —
-    it measures memory, not live work); ``compactions`` counts in-place
-    heap rebuilds that reclaimed cancelled entries.  ``wall_seconds`` is
-    real time spent inside :meth:`Kernel.run`, so
+    is the most entries the heap and the ready lane held together, sampled
+    before each event and when the stats are read (cancelled heap entries
+    included — it measures memory, not live work); ``compactions`` counts
+    in-place heap rebuilds that reclaimed cancelled entries.
+    ``wall_seconds`` is real time spent inside :meth:`Kernel.run`, so
     ``wall_seconds_per_simulated_second`` is the simulator's slowdown
     factor — the pathology metric for latency-dominated runs.
     """
@@ -121,6 +138,10 @@ class KernelStats:
         )
 
 
+#: Process states after which a process is never resumed again.
+_DONE = (ProcessState.FINISHED, ProcessState.FAILED)
+
+
 class Kernel:
     """Discrete-event simulation kernel."""
 
@@ -139,8 +160,17 @@ class Kernel:
         self._processes: Dict[str, SimProcess] = {}
         self._contexts: Dict[str, ProcessContext] = {}
         self._last_delivery: Dict[tuple, float] = {}
+        #: the ready lane: zero-delay resumptions due at ``now``
+        self._ready: Deque[Tuple[int, SimProcess, Any]] = deque()
+        self._syscalls: Dict[type, Callable[[SimProcess, Any], None]] = {
+            Send: self._do_send,
+            Recv: self._do_recv,
+            Compute: self._do_compute,
+            Sleep: self._do_sleep,
+        }
         self._finished_count = 0
         self._events_fired = 0
+        self._peak_queue = 0
         self._wall_seconds = 0.0
 
     # ------------------------------------------------------------------ #
@@ -182,7 +212,7 @@ class Kernel:
 
         ``fn`` must be a generator function whose first parameter is the
         :class:`ProcessContext`.  The process starts at the current simulated
-        time (it is resumed through a zero-delay event).
+        time (it is resumed through the ready lane).
         """
         if name in self._processes:
             raise ValueError(f"duplicate process name {name!r}")
@@ -195,7 +225,7 @@ class Kernel:
         process = SimProcess(name=name, node_name=node_name, generator=generator, started_at=self.now)
         self._processes[name] = process
         self._contexts[name] = ctx
-        self.schedule_at(self.now, self._resume, name, None)
+        self._wake(process, None)
         return process
 
     def process(self, name: str) -> SimProcess:
@@ -217,7 +247,7 @@ class Kernel:
         """Schedule ``callback(*args)`` at absolute time ``time`` (>= now)."""
         if time < self.now - 1e-12:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        return self.queue.push(max(time, self.now), callback, *args)
+        return self.queue.push(max(float(time), self.now), callback, *args)
 
     def schedule_after(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds of simulated time."""
@@ -225,12 +255,18 @@ class Kernel:
             raise ValueError("delay must be non-negative")
         return self.schedule_at(self.now + delay, callback, *args)
 
+    def _wake(self, process: SimProcess, value: Any) -> None:
+        """Resume ``process`` with ``value`` at the current time (ready lane)."""
+        queue = self.queue
+        seq = queue.pushed
+        queue.pushed = seq + 1
+        self._ready.append((seq, process, value))
+
     # ------------------------------------------------------------------ #
     # Process resumption and syscall handling
     # ------------------------------------------------------------------ #
-    def _resume(self, name: str, value: Any) -> None:
-        process = self._processes[name]
-        if process.state in (ProcessState.FINISHED, ProcessState.FAILED):
+    def _resume(self, process: SimProcess, value: Any) -> None:
+        if process.state in _DONE:
             return
         process.state = ProcessState.RUNNING
         try:
@@ -246,101 +282,91 @@ class Kernel:
             process.exception = exc
             process.finished_at = self.now
             self._finished_count += 1
-            raise SimulationError(f"process {name!r} raised {exc!r}") from exc
-        self._handle_syscall(process, syscall)
-
-    def _handle_syscall(self, process: SimProcess, syscall: Syscall) -> None:
-        if isinstance(syscall, Send):
-            self._do_send(process, syscall)
-        elif isinstance(syscall, Recv):
-            self._do_recv(process, syscall)
-        elif isinstance(syscall, Compute):
-            self._do_compute(process, syscall)
-        elif isinstance(syscall, Sleep):
-            if syscall.seconds < 0:
-                raise SimulationError(f"negative sleep from {process.name!r}")
-            process.state = ProcessState.SLEEPING
-            self.schedule_after(syscall.seconds, self._resume, process.name, None)
-        else:
+            raise SimulationError(f"process {process.name!r} raised {exc!r}") from exc
+        handler = self._syscalls.get(type(syscall))
+        if handler is None:
             raise SimulationError(
                 f"process {process.name!r} yielded a non-syscall object {syscall!r}"
             )
+        handler(process, syscall)
 
     # -- Send ------------------------------------------------------------ #
     def _do_send(self, process: SimProcess, syscall: Send) -> None:
-        if syscall.dest not in self._processes:
+        dest = self._processes.get(syscall.dest)
+        if dest is None:
             raise SimulationError(
                 f"process {process.name!r} sent a message to unknown process {syscall.dest!r}"
             )
-        sent_at = self.now
-        delay = self.network.transfer_delay(syscall.size_bytes)
+        now = self.now
+        network = self.network
+        delivery = now + network.transfer_delay(syscall.size_bytes)
         key = (process.name, syscall.dest)
-        delivery = max(sent_at + delay, self._last_delivery.get(key, 0.0))
+        last = self._last_delivery.get(key)
+        if last is not None and last > delivery:
+            delivery = last
         self._last_delivery[key] = delivery
-        self.schedule_at(delivery, self._deliver, process.name, syscall, sent_at, delivery)
-        # The sender resumes after the (small) send overhead.
-        self.schedule_after(self.network.send_overhead_s, self._resume, process.name, None)
+        # Push the delivery and, after the (small) send overhead, the sender's
+        # resumption straight onto the heap.
+        queue = self.queue
+        seq = queue.pushed
+        queue.pushed = seq + 2
+        heap = queue._heap
+        heapq.heappush(heap, (delivery, seq, Event(
+            delivery, seq, self._deliver, (process.name, dest, syscall, now), False, queue
+        )))
+        resume_at = now + network.send_overhead_s
+        heapq.heappush(heap, (resume_at, seq + 1, Event(
+            resume_at, seq + 1, self._resume, (process, None), False, queue
+        )))
 
-    def _deliver(self, source: str, syscall: Send, sent_at: float, delivery: float) -> None:
-        dest = self._processes[syscall.dest]
-        message = Message(
-            source=source,
-            tag=syscall.tag,
-            payload=syscall.payload,
-            sent_at=sent_at,
-            received_at=delivery,
-        )
-        self.trace.record_message(
-            source=source,
-            dest=syscall.dest,
-            tag=syscall.tag,
-            payload=syscall.payload,
-            size_bytes=syscall.size_bytes,
-            sent_at=sent_at,
-            received_at=delivery,
-        )
-        if dest.state is ProcessState.BLOCKED_RECV and dest.pending_recv is not None and dest.matches(
-            message, dest.pending_recv
+    def _deliver(self, source: str, dest: SimProcess, syscall: Send, sent_at: float) -> None:
+        now = self.now
+        tag = syscall.tag
+        payload = syscall.payload
+        message = Message(source, tag, payload, sent_at, now)
+        self.trace.record_message(source, dest.name, tag, payload, syscall.size_bytes, sent_at, now)
+        recv = dest.pending_recv
+        if (
+            recv is not None
+            and dest.state is ProcessState.BLOCKED_RECV
+            and dest.matches(message, recv)
         ):
             dest.pending_recv = None
-            self.schedule_at(self.now, self._resume, dest.name, message)
+            self._wake(dest, message)
         else:
             dest.mailbox.append(message)
 
     # -- Recv ------------------------------------------------------------ #
     def _do_recv(self, process: SimProcess, syscall: Recv) -> None:
         message = process.mailbox.pop_match(syscall)
-        if message is not None:
-            self.schedule_at(self.now, self._resume, process.name, message)
+        if message is None:
+            process.state = ProcessState.BLOCKED_RECV
+            process.pending_recv = syscall
             return
-        process.state = ProcessState.BLOCKED_RECV
-        process.pending_recv = syscall
+        self._wake(process, message)
 
     # -- Compute ---------------------------------------------------------- #
     def _do_compute(self, process: SimProcess, syscall: Compute) -> None:
-        if syscall.work_units < 0:
+        work = syscall.work_units
+        if work < 0:
             raise SimulationError(f"negative compute from {process.name!r}")
         process.state = ProcessState.COMPUTING
-        node = self._nodes[process.node_name]
-        if syscall.work_units == 0:
+        if work == 0:
             # A zero-work computation is still a job: record it (start == end)
             # so job counts stay faithful for trivial evaluations.
-            self.trace.record_compute(
-                pid=process.name,
-                node=process.node_name,
-                start=self.now,
-                end=self.now,
-                work=0.0,
-            )
-            self.schedule_at(self.now, self._resume, process.name, None)
+            self.trace.record_compute(process.name, process.node_name, self.now, self.now, 0.0)
+            self._wake(process, None)
             return
-        node.start_computation(
-            process.name,
-            syscall.work_units,
-            on_complete=lambda name=process.name: self.schedule_at(
-                self.now, self._resume, name, None
-            ),
+        self._nodes[process.node_name].start_computation(
+            process.name, work, on_complete=lambda: self._wake(process, None)
         )
+
+    # -- Sleep ------------------------------------------------------------ #
+    def _do_sleep(self, process: SimProcess, syscall: Sleep) -> None:
+        if syscall.seconds < 0:
+            raise SimulationError(f"negative sleep from {process.name!r}")
+        process.state = ProcessState.SLEEPING
+        self.queue.push(self.now + syscall.seconds, self._resume, process, None)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -353,46 +379,79 @@ class Kernel:
     ) -> float:
         """Run the simulation and return the final simulated time.
 
-        Stops when the event queue empties, when ``until_time`` is reached,
+        Stops when no events are pending, when ``until_time`` is reached,
         when the process named ``until_process`` finishes, or after
-        ``max_events`` events — whichever comes first.
+        ``max_events`` events — whichever comes first.  ``until_time`` may
+        not lie before the current time: the clock never runs backwards.
         """
-        events_fired = 0
         target = self._processes.get(until_process) if until_process else None
         if until_process is not None and target is None:
             raise ValueError(f"unknown process {until_process!r}")
+        if until_time is not None and until_time < self.now:
+            raise ValueError(f"until_time {until_time} lies before the current time {self.now}")
+        until = math.inf if until_time is None else until_time
+        # The budget check runs after each fired event, so any budget below
+        # one still fires one event; -1 is never reached.
+        budget = -1 if max_events is None else max(1, max_events)
+        queue = self.queue
+        heap = queue._heap
+        ready = self._ready
+        popleft = ready.popleft
+        heappop = heapq.heappop
+        resume = self._resume
+        now = self.now
+        peak = self._peak_queue
+        fired = 0
         wall_start = _time.perf_counter()
-        sim_start = self.now
+        sim_start = now
         try:
-            while self.queue:
-                if target is not None and target.state in (ProcessState.FINISHED, ProcessState.FAILED):
+            while True:
+                size = len(heap) + len(ready)
+                if size > peak:
+                    peak = size
+                if target is not None and target.state in _DONE:
                     break
-                next_time = self.queue.peek_time()
-                if next_time is None:
+                if heap:
+                    time, seq, event = heap[0]
+                    if event.cancelled:
+                        heappop(heap)
+                        event.queue = None
+                        queue._garbage -= 1
+                        continue
+                    # The ready head is due now: it goes first unless the
+                    # heap top is also due now and was scheduled earlier.
+                    if ready and (time > now or seq > ready[0][0]):
+                        _, process, value = popleft()
+                        resume(process, value)
+                    elif time > until:
+                        self.now = until
+                        break
+                    else:
+                        heappop(heap)
+                        event.queue = None
+                        self.now = now = time
+                        event.callback(*event.args)
+                elif ready:
+                    _, process, value = popleft()
+                    resume(process, value)
+                else:
                     break
-                if until_time is not None and next_time > until_time:
-                    self.now = until_time
-                    break
-                event = self.queue.pop()
-                if event is None:
-                    break
-                self.now = event.time
-                event.fire()
-                events_fired += 1
-                if max_events is not None and events_fired >= max_events:
+                fired += 1
+                if fired == budget:
                     break
         finally:
             wall_delta = _time.perf_counter() - wall_start
-            self._events_fired += events_fired
+            self._peak_queue = peak
+            self._events_fired += fired
             self._wall_seconds += wall_delta
             self.trace.kernel_stats = self.stats()
             if _obs_enabled():
                 sim_delta = max(0.0, self.now - sim_start)
-                _KERNEL_EVENTS.inc(events_fired)
+                _KERNEL_EVENTS.inc(fired)
                 _KERNEL_SIM_SECONDS.inc(sim_delta)
                 _KERNEL_WALL_SECONDS.inc(wall_delta)
                 if sim_delta > 0:
-                    _KERNEL_EVENT_RATE.set(events_fired / sim_delta)
+                    _KERNEL_EVENT_RATE.set(fired / sim_delta)
         return self.now
 
     # ------------------------------------------------------------------ #
@@ -404,7 +463,7 @@ class Kernel:
             events_fired=self._events_fired,
             events_scheduled=self.queue.pushed,
             events_cancelled=self.queue.cancelled_total,
-            peak_queue_size=self.queue.peak_size,
+            peak_queue_size=max(self._peak_queue, len(self.queue._heap) + len(self._ready)),
             compactions=self.queue.compactions,
             simulated_seconds=self.now,
             wall_seconds=self._wall_seconds,

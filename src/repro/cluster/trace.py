@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MessageRecord", "ComputeRecord", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageRecord:
     """One point-to-point message."""
 
@@ -34,7 +34,7 @@ class MessageRecord:
     delivered: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComputeRecord:
     """One completed computation on a node."""
 
@@ -77,20 +77,14 @@ class Trace:
             return
         self.messages.append(
             MessageRecord(
-                source=source,
-                dest=dest,
-                tag=tag,
-                payload_type=type(payload).__name__,
-                size_bytes=size_bytes,
-                sent_at=sent_at,
-                received_at=received_at,
+                source, dest, tag, type(payload).__name__, size_bytes, sent_at, received_at
             )
         )
 
     def record_compute(self, pid: str, node: str, start: float, end: float, work: float) -> None:
         if not self.enabled:
             return
-        self.computes.append(ComputeRecord(pid=pid, node=node, start=start, end=end, work=work))
+        self.computes.append(ComputeRecord(pid, node, start, end, work))
 
     # ------------------------------------------------------------------ #
     # Queries

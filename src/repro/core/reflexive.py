@@ -11,8 +11,7 @@ step*, even if an earlier step had already discovered a better complete
 sequence.
 
 Keeping both algorithms in the library lets the ablation benchmarks measure
-how much the best-sequence memorisation of NMCS contributes — one of the
-design points highlighted in DESIGN.md.
+how much the best-sequence memorisation of NMCS contributes.
 """
 
 from __future__ import annotations

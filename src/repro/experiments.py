@@ -7,7 +7,7 @@ paper.  The benchmark harness (``benchmarks/``) and the command-line interface
 (``python -m repro``) are thin wrappers around these functions, so the exact
 same code path produces the numbers reported in EXPERIMENTS.md.
 
-Scaling note (also in DESIGN.md): the default workload is a scaled Morpion
+Scaling note: the default workload is a scaled Morpion
 Solitaire whose levels 2/3 stand in for the paper's levels 3/4.  Durations are
 simulated through the work→time cost model; speedups and orderings are the
 quantities compared against the paper.

@@ -5,7 +5,7 @@ search: CPython's global interpreter lock serialises pure-Python compute, so
 a thread pool gives essentially no speedup for NMCS playouts.  It exists so
 that the ablation benchmark can measure that limitation directly — it is the
 reason the cluster-scale experiments of this reproduction run on a simulated
-cluster (documented in DESIGN.md) and the local real-parallel path uses
+cluster (see docs/SIMULATOR.md) and the local real-parallel path uses
 processes (:mod:`repro.parallel.multiproc`).
 """
 

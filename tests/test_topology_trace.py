@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cluster.topology import (
@@ -127,3 +130,21 @@ class TestTrace:
         trace.clear()
         assert trace.makespan() == 0.0
         assert trace.mean_concurrency() == 0.0
+
+    def test_records_are_slotted_frozen_values(self):
+        message = MessageRecord("a", "b", 1, "dict", 10.0, 0.0, 0.5)
+        compute = ComputeRecord("client-0", "n0", 1.0, 3.0, 20.0)
+        for record in (message, compute):
+            assert not hasattr(record, "__dict__")
+            clone = pickle.loads(pickle.dumps(record))
+            assert clone == record and hash(clone) == hash(record)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.__setattr__(dataclasses.fields(record)[0].name, "x")
+        assert message != MessageRecord("a", "b", 1, "dict", 10.0, 0.0, 0.5, delivered=False)
+        assert compute.duration == 2.0
+
+    def test_trace_round_trips_through_pickle(self):
+        trace = self.make_trace()
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone.messages == trace.messages
+        assert clone.computes == trace.computes
