@@ -87,6 +87,7 @@ from repro.parallel.config import DispatcherKind, ParallelConfig
 from repro.parallel.driver import run_parallel_nmcs
 from repro.parallel.jobs import CachingJobExecutor, JobExecutor
 from repro.parallel.multiproc import multiprocessing_nmcs
+from repro.parallel.pool import leased_pool
 from repro.parallel.threads import threaded_nmcs
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
@@ -870,10 +871,12 @@ class Engine:
             Simulated time is unaffected by either pool — only wall time is.
         executor:
             ``"thread"`` (default) keeps the historical behaviour;
-            ``"process"`` ships cache-missing cells to the persistent
-            worker-process pool (:mod:`repro.lab.procpool`), where each
-            worker runs them through its own :class:`Engine` — CPU-bound
-            cells then scale past the GIL.  Cache hits still short-circuit
+            ``"process"`` ships cache-missing cells as ``cells`` tasks to
+            the one persistent worker-process pool
+            (:func:`repro.parallel.pool.shared_pool`, shared with
+            ``backend="multiprocessing"`` searches), where each worker runs
+            them through its own :class:`Engine` — CPU-bound cells then
+            scale past the GIL.  Cache hits still short-circuit
             in the parent and results are written to the store exactly once,
             by the parent.  An engine constructed with a custom
             ``executor=`` :class:`~repro.parallel.jobs.JobExecutor` cannot
@@ -1042,8 +1045,8 @@ class Engine:
         """Worker-*process* variant of :meth:`stream` (completion-order events).
 
         Cache hits resolve up front in the parent; remaining cells are
-        serialised (``spec.to_dict()``) and shipped to the shared
-        :class:`~repro.lab.procpool.SweepWorkerPool` in chunks of
+        serialised (``spec.to_dict()``) and shipped as ``cells`` tasks to the
+        shared :class:`~repro.parallel.pool.PersistentWorkerPool` in chunks of
         ``chunk_size`` (``"started"`` is emitted at submission, mirroring
         the thread pool).  Workers return report dicts; the *parent* decodes
         them, emits the terminal events, and writes the store — one writer
@@ -1052,13 +1055,11 @@ class Engine:
         :class:`~repro.lab.procpool.RemoteCellError`; with
         ``error_policy="raise"`` the first one cancels the rest of the
         batch, the stream drains fully, then re-raises.  Child obs
-        snapshots are folded into the parent registry per chunk.
+        snapshots are folded into the parent registry per chunk.  A worker
+        that dies mid-batch makes the stream raise ``RuntimeError`` within
+        seconds.
         """
-        from repro.lab.procpool import (
-            RemoteCellError,
-            auto_chunk_size,
-            shared_sweep_pool,
-        )
+        from repro.lab.procpool import RemoteCellError, auto_chunk_size
 
         done = 0
         pending: List[Tuple[int, SearchSpec]] = []
@@ -1074,71 +1075,71 @@ class Engine:
         if not pending:
             return
         n_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        pool = shared_sweep_pool(n_workers)
-        size = chunk_size if chunk_size is not None else auto_chunk_size(
-            len(pending), pool.n_workers
-        )
-        obs_on = _obs_enabled()
-        specs_by_index = dict(pending)
-        first_error: Optional[BaseException] = None
-        batch_id = pool.begin_batch()
-        try:
-            outstanding_cells: set = set()
-            outstanding_chunks = 0
-            for start in range(0, len(pending), size):
-                if cancelled():
-                    break
-                chunk = pending[start : start + size]
-                for index, spec in chunk:
-                    _CELL_EVENTS["started"].inc()
-                    yield RunEvent("started", index, total, spec, done=done)
-                    outstanding_cells.add(index)
-                pool.submit_chunk(
-                    batch_id,
-                    [(index, spec.to_dict()) for index, spec in chunk],
-                    obs_on,
-                    self.network,
-                )
-                outstanding_chunks += 1
-            propagated = False
-            while outstanding_cells or outstanding_chunks:
-                if not propagated and (cancelled() or first_error is not None):
-                    pool.cancel_batch()
-                    propagated = True
-                frame = pool.next_frame(batch_id)
-                if frame is None:
-                    continue
-                if frame[0] == "chunk":
-                    outstanding_chunks -= 1
-                    if frame[2] is not None:
-                        _obs_metrics.merge_snapshot(frame[2])
-                    continue
-                _, _, index, status, payload = frame
-                outstanding_cells.discard(index)
-                spec = specs_by_index[index]
-                if status == "skip":
-                    continue  # cancelled before starting: no terminal event
-                if status == "err":
-                    error: BaseException = RemoteCellError(payload)
+        with leased_pool(n_workers) as pool:
+            size = chunk_size if chunk_size is not None else auto_chunk_size(
+                len(pending), pool.n_workers
+            )
+            obs_on = _obs_enabled()
+            specs_by_index = dict(pending)
+            first_error: Optional[BaseException] = None
+            batch_id = pool.begin_batch()
+            try:
+                outstanding_cells: set = set()
+                outstanding_chunks = 0
+                for start in range(0, len(pending), size):
+                    if cancelled():
+                        break
+                    chunk = pending[start : start + size]
+                    for index, spec in chunk:
+                        _CELL_EVENTS["started"].inc()
+                        yield RunEvent("started", index, total, spec, done=done)
+                        outstanding_cells.add(index)
+                    pool.submit_chunk(
+                        batch_id,
+                        [(index, spec.to_dict()) for index, spec in chunk],
+                        obs_on,
+                        self.network,
+                    )
+                    outstanding_chunks += 1
+                propagated = False
+                while outstanding_cells or outstanding_chunks:
+                    if not propagated and (cancelled() or first_error is not None):
+                        pool.cancel_batch()
+                        propagated = True
+                    frame = pool.next_frame(batch_id)
+                    if frame is None:
+                        continue
+                    if frame[0] == "chunk":
+                        outstanding_chunks -= 1
+                        if frame[2] is not None:
+                            _obs_metrics.merge_snapshot(frame[2])
+                        continue
+                    _, _, index, status, payload = frame
+                    outstanding_cells.discard(index)
+                    spec = specs_by_index[index]
+                    if status == "skip":
+                        continue  # cancelled before starting: no terminal event
+                    if status == "err":
+                        error: BaseException = RemoteCellError(payload)
+                        done += 1
+                        _CELL_EVENTS["failed"].inc()
+                        yield RunEvent("failed", index, total, spec, error=error, done=done)
+                        if error_policy == "raise" and first_error is None:
+                            first_error = error
+                        continue
+                    report = RunReport.from_dict(payload)
+                    if store is not None:
+                        store.put(spec, report)
                     done += 1
-                    _CELL_EVENTS["failed"].inc()
-                    yield RunEvent("failed", index, total, spec, error=error, done=done)
-                    if error_policy == "raise" and first_error is None:
-                        first_error = error
-                    continue
-                report = RunReport.from_dict(payload)
-                if store is not None:
-                    store.put(spec, report)
-                done += 1
-                _CELL_EVENTS["completed"].inc()
-                yield RunEvent("completed", index, total, spec, report=report, done=done)
-        finally:
-            # An abandoned generator (consumer stopped iterating) leaves cells
-            # in flight; cancel them so they drain as skips — their stale
-            # frames are dropped by the next batch's next_frame guard.
-            if outstanding_cells or outstanding_chunks:
-                pool.cancel_batch()
-            pool.end_batch()
+                    _CELL_EVENTS["completed"].inc()
+                    yield RunEvent("completed", index, total, spec, report=report, done=done)
+            finally:
+                # An abandoned generator (consumer stopped iterating) leaves
+                # cells in flight; cancel them and end the batch, so those not
+                # yet started answer skip and the pool drops their frames.
+                if outstanding_cells or outstanding_chunks:
+                    pool.cancel_batch()
+                pool.end_batch()
         if first_error is not None:
             raise first_error
 
@@ -1336,7 +1337,6 @@ def _backend_sim_cluster(spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunCo
     "multiprocessing",
     description="real root-level fan-out on a local process pool (GIL-free)",
     algorithms=("nmcs",),
-    params=("start_method",),
 )
 def _backend_multiprocessing(
     spec: SearchSpec, algorithm: AlgorithmEntry, ctx: RunContext
@@ -1349,7 +1349,6 @@ def _backend_multiprocessing(
         master_seed=spec.seed,
         n_workers=spec.n_workers,
         max_steps=spec.max_steps,
-        start_method=spec.params.get("start_method"),
     )
     return RunReport(
         spec=spec,

@@ -11,9 +11,10 @@ is what every table of the paper actually is:
   and interrupted sweeps resume for free;
 * :mod:`repro.lab.export` — flat JSON/CSV rows that
   :func:`repro.analysis.tables.pivot_table` renders directly;
-* :mod:`repro.lab.procpool` — the persistent worker-process pool behind
-  ``Engine.stream(executor="process")`` / ``repro sweep --processes``, so
-  CPU-bound grids scale past the GIL (see ``docs/SWEEPS.md``).
+* :mod:`repro.lab.procpool` — sweep-side names of the one persistent
+  worker-process pool (:mod:`repro.parallel.pool`) that runs
+  ``Engine.stream(executor="process")`` / ``repro sweep --processes`` cells,
+  so CPU-bound grids scale past the GIL (see ``docs/SWEEPS.md``).
 
 Execution lives on the engine: ``Engine.run_many(sweep, store=...)`` and the
 streaming ``Engine.stream(...)`` event iterator (see :mod:`repro.api`).

@@ -29,7 +29,7 @@ Cells are independent by construction (each is a complete, serialisable
 :class:`~repro.api.SearchSpec`), which is what lets the engine execute a grid
 on a thread pool (``Engine.stream(..., max_workers=N)``) or shard it across
 the persistent worker-*process* pool (``executor="process"`` /
-``repro sweep --processes N``; see :mod:`repro.lab.procpool`) with results
+``repro sweep --processes N``; see :mod:`repro.parallel.pool`) with results
 identical to serial execution.
 """
 

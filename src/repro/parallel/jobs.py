@@ -84,9 +84,11 @@ class DirectJobExecutor(JobExecutor):
 class PooledJobExecutor(JobExecutor):
     """Executes every job out-of-process on a persistent worker pool.
 
-    Positions cross the process boundary as compact wire frames (see
-    :mod:`repro.parallel.pool`), not pickled object graphs, and the workers
-    are reused across jobs and runs.  Results are identical to
+    Each job is a ``search`` task on the one persistent worker pool (see
+    :mod:`repro.parallel.pool`, shared with sweep cells and candidate
+    evaluations); positions cross the process boundary as compact wire
+    frames, not pickled object graphs, and the workers are reused across
+    jobs and runs.  Results are identical to
     :class:`DirectJobExecutor` (same seed derivation, same kernels), so this
     drops in anywhere a :class:`JobExecutor` is accepted — e.g. wrapped in a
     :class:`CachingJobExecutor` for the simulated cluster — to isolate the
@@ -98,15 +100,14 @@ class PooledJobExecutor(JobExecutor):
         self.jobs_executed = 0
         self.total_work_units = 0.0
 
-    def pool(self) -> "PersistentWorkerPool":
-        if self._pool is None or not self._pool.alive:
-            from repro.parallel.pool import shared_pool
-
-            self._pool = shared_pool()
-        return self._pool
-
     def execute(self, position: GameState, level: int, seeds: SeedSequence) -> JobOutcome:
-        score, sequence, work_units = self.pool().run_search(position, level, seeds)
+        if self._pool is not None and self._pool.alive:
+            score, sequence, work_units = self._pool.run_search(position, level, seeds)
+        else:
+            from repro.parallel.pool import leased_pool
+
+            with leased_pool() as pool:  # a resize elsewhere cannot close it mid-job
+                score, sequence, work_units = pool.run_search(position, level, seeds)
         self.jobs_executed += 1
         self.total_work_units += work_units
         return JobOutcome(score=score, sequence=tuple(sequence), work_units=work_units)

@@ -16,14 +16,14 @@ with the same master seed.
 Positions are shipped to the workers as compact binary wire frames
 (:meth:`repro.games.base.GameState.encode`) through a
 :class:`repro.parallel.pool.PersistentWorkerPool` instead of per-job pickled
-state objects; by default searches share the process-wide pool
-(:func:`repro.parallel.pool.shared_pool`), so repeated searches reuse the
-same worker processes instead of forking a fresh pool per call.
+state objects.  Searches share the process-wide pool
+(:func:`repro.parallel.pool.shared_pool`) with sweep cells, so repeated
+searches reuse the same worker processes instead of forking a fresh pool per
+call.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 from repro.core.nested import candidate_evaluations
 from repro.core.result import BestTracker, SearchResult
 from repro.games.base import GameState, Move
-from repro.parallel.pool import PersistentWorkerPool, shared_pool
+from repro.parallel.pool import PersistentWorkerPool, leased_pool
 from repro.prng import SeedSequence
 
 __all__ = ["MultiprocessResult", "multiprocessing_nmcs", "pool_evaluate"]
@@ -76,8 +76,6 @@ def multiprocessing_nmcs(
     n_workers: Optional[int] = None,
     max_steps: Optional[int] = None,
     seed_label: str = "nmcs",
-    start_method: Optional[str] = None,
-    pool: Optional[PersistentWorkerPool] = None,
 ) -> MultiprocessResult:
     """Root-level parallel NMCS on persistent worker processes.
 
@@ -87,32 +85,22 @@ def multiprocessing_nmcs(
         Number of worker processes (defaults to the CPU count).
     max_steps:
         Stop after this many root moves (``1`` = first-move experiment).
-    start_method:
-        ``multiprocessing`` start method.  When given, a dedicated pool with
-        that start method is created for this call; otherwise the
-        process-wide shared pool is used (and kept alive for later calls).
-    pool:
-        An explicit :class:`~repro.parallel.pool.PersistentWorkerPool` to run
-        on (the caller keeps ownership; ``n_workers``/``start_method`` are
-        ignored).
+
+    Candidates are evaluated on the process-wide shared pool
+    (:func:`~repro.parallel.pool.leased_pool`, held for the whole search),
+    which stays alive for later calls and is the same pool sweep cells run
+    on.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     seeds = SeedSequence(master_seed, seed_label)
-    own_pool: Optional[PersistentWorkerPool] = None
-    if pool is None:
-        if start_method is not None:
-            pool = own_pool = PersistentWorkerPool(n_workers=n_workers, start_method=start_method)
-        else:
-            pool = shared_pool(n_workers)
     start = time.perf_counter()
     n_evaluations = 0
-
-    try:
-        position = state.copy()
-        best = BestTracker()
-        played: List[Move] = []
-        step = 0
+    position = state.copy()
+    best = BestTracker()
+    played: List[Move] = []
+    step = 0
+    with leased_pool(n_workers) as pool:
         while True:
             outcomes = pool_evaluate(pool, position, level, step, seeds)
             if not outcomes:
@@ -126,9 +114,6 @@ def multiprocessing_nmcs(
             step += 1
             if max_steps is not None and step >= max_steps:
                 break
-    finally:
-        if own_pool is not None:
-            own_pool.close()
 
     if best.has_sequence():
         score, moves = best.best()

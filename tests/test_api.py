@@ -348,6 +348,16 @@ class TestEngine:
         # Algorithms accepting no params say so.
         with pytest.raises(ValueError, match=r"accepted params: \(none\)"):
             engine.run(SearchSpec(workload="leftmove", level=1, params={"bogus": 1}))
+        # Backends declaring no params reject them too.
+        with pytest.raises(ValueError, match=r"start_method.*accepted params: \(none\)"):
+            engine.run(
+                SearchSpec(
+                    workload="leftmove",
+                    backend="multiprocessing",
+                    level=1,
+                    params={"start_method": "fork"},
+                )
+            )
 
     def test_backend_params_accepted_alongside_algorithm_params(self, engine):
         """Substrate-level params (lm_fifo_jobs, ...) pass validation on their backend."""
